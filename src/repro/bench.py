@@ -18,13 +18,13 @@ and CI can catch regressions. Three suites:
     2x slower than the committed baseline).
 
 ``live``
-    Enforce-phase frame throughput over a real localhost TCP socket:
+    Enforce-phase frame throughput over real localhost TCP sockets:
     per-stage ``rule`` frames down, ``rule_ack`` frames back. The
-    baseline leg runs the seed wire path (JSON codec, one drain per
+    baseline leg runs the seed wire path (JSON codec, a write per
     frame); the optimized leg runs the PR 5 path (binary fast-codec,
-    one coalesced drain per phase). Both legs run back to back in the
-    same process, so the ratio is load-independent even when absolute
-    numbers are not.
+    cached rule frames, the phase fed before it is flushed). Both legs
+    run back to back in the same process, so the ratio is
+    load-independent even when absolute numbers are not.
 
 ``shard``
     The PR 6 suite: mean control-cycle latency of the multi-process
@@ -78,7 +78,7 @@ import json
 import os
 import socket
 import time
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 __all__ = ["SCHEMA", "check_regression", "load_artifact", "run_bench"]
 
@@ -203,53 +203,60 @@ def bench_sim_cycles(quick: bool = False) -> Dict[str, Dict[str, float]]:
 # -- suite 3: live enforce-phase wire path --------------------------------------
 
 
-async def _ack_server(codec: str):
-    """Echo a ``rule_ack`` per ``rule`` frame, like a stage's enforce leg."""
-    from repro.live.protocol import read_message, write_message
+class _AckProtocol(asyncio.Protocol):
+    """Stage stand-in: answers every ``rule`` frame with a ``rule_ack``.
 
-    async def handle(reader, writer):
-        try:
-            while True:
-                message = await read_message(reader)
-                if message["kind"] != "rule":
-                    break
-                await write_message(
-                    writer,
-                    {
-                        "kind": "rule_ack",
-                        "epoch": message["epoch"],
-                        "stage_id": message["stage_id"],
-                    },
-                    codec,
-                )
-        except (asyncio.IncompleteReadError, ConnectionError, OSError):
-            pass
-        finally:
-            writer.close()
+    Parses and acks whole reads at once, so the stage side stays cheap
+    and the legs measure the controller's wire path.
+    """
 
-    return await asyncio.start_server(handle, host="127.0.0.1", port=0)
+    def __init__(self, codec: str) -> None:
+        self.codec = codec
+        self.pending = bytearray()
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        from repro.live.protocol import decode_body, encode_into
+
+        buf = self.pending
+        buf += data
+        acks = bytearray()
+        while len(buf) >= 4:
+            size = 4 + int.from_bytes(buf[:4], "big")
+            if len(buf) < size:
+                break
+            rule = decode_body(bytes(buf[4:size]))
+            del buf[:size]
+            ack = {"kind": "rule_ack", "epoch": rule["epoch"]}
+            ack["stage_id"] = rule["stage_id"]
+            encode_into(acks, ack, self.codec)
+        if acks:
+            self.transport.write(acks)
 
 
 async def _enforce_leg(
-    codec: str, coalesce: bool, cached: bool, n_stages: int, n_cycles: int
+    codec: str, per_frame: bool, cached: bool, n_stages: int, n_cycles: int
 ) -> float:
-    """Frames/second for an enforce-phase-shaped exchange on one socket.
+    """Frames/second for enforce phases over ``n_stages`` localhost sockets.
 
-    One cycle = ``n_stages`` ``rule`` frames out, ``n_stages``
-    ``rule_ack`` frames back (written first, gathered after — the real
-    enforce phase's shape). ``cached=True`` models the controller's
-    steady state, where an unchanged limit ships the pre-encoded frame
-    from the (stage, rule-epoch) cache instead of re-encoding.
+    One cycle = one ``rule`` frame down each session and one
+    ``rule_ack`` back, gathered by one phase barrier armed before the
+    first write — the real enforce phase's shape. ``per_frame=True`` is
+    the seed's write pattern: flush right after each feed instead of
+    feeding the whole phase first. ``cached=True`` models the
+    controller's steady state, where an unchanged limit ships the
+    pre-encoded frame from the (stage, rule-epoch) cache instead of
+    re-encoding.
     """
     from repro.live.protocol import encode
-    from repro.live.sessions import Session
+    from repro.live.sessions import PhaseBarrier, Session, flush_all, gather_phase
 
-    server = await _ack_server(codec)
+    loop = asyncio.get_running_loop()
+    server = await loop.create_server(lambda: _AckProtocol(codec), "127.0.0.1", 0)
     host, port = server.sockets[0].getsockname()[:2]
-    reader, writer = await asyncio.open_connection(host, port)
-    session = Session("bench", reader, writer)
-    session.codec = codec
-    session.start()
+    sessions: List = []
 
     def rule(i: int) -> dict:
         return {
@@ -261,22 +268,32 @@ async def _enforce_leg(
 
     frames = [encode(rule(i), codec) for i in range(n_stages)]
     try:
+        for i in range(n_stages):
+            _, session = await loop.create_connection(
+                lambda: Session(f"stage-{i:05d}"), host, port
+            )
+            session.codec = codec
+            sessions.append(session)
         t0 = time.perf_counter()
         for _ in range(n_cycles):
-            for i in range(n_stages):
+            barrier = PhaseBarrier("rule_ack", 0)
+            for i, session in enumerate(sessions):
+                barrier.add(session)
                 if cached:
                     session.feed_frame(frames[i])
                 else:
                     session.feed(rule(i))
-                if not coalesce:
+                if per_frame:
                     await session.flush()
-            if coalesce:
-                await session.flush()
-            for _ in range(n_stages):
-                await session.expect("rule_ack", 0)
+            if not per_frame:
+                await flush_all(sessions)
+            missing, _ = await gather_phase(barrier, None)
+            if missing:
+                raise RuntimeError(f"{len(missing)} acks lost on localhost")
         dt = time.perf_counter() - t0
     finally:
-        await session.close()
+        for session in sessions:
+            session.close()
         server.close()
         await server.wait_closed()
     return (2 * n_stages * n_cycles) / dt
@@ -285,9 +302,9 @@ async def _enforce_leg(
 def bench_live(quick: bool = False) -> Dict[str, float]:
     """Enforce-phase frames/s: seed wire path vs the PR 5 wire path.
 
-    Baseline = the seed's behaviour (JSON codec, encode + write + drain
-    per frame). Optimized = binary fast-codec, steady-state frame cache,
-    one buffered write + one drain per cycle. Legs are interleaved and
+    Baseline = the seed's behaviour (JSON codec, encode + write per
+    frame). Optimized = binary fast-codec, steady-state frame cache, the
+    whole phase fed before it is flushed. Legs are interleaved and
     the best of ``trials`` is kept per side — the standard micro-bench
     defence against CPU-frequency and scheduler noise — with the GC
     paused so collection pauses land on neither side.
@@ -300,16 +317,16 @@ def bench_live(quick: bool = False) -> Dict[str, float]:
 
     async def both():
         # Warmup leg absorbs loop/socket first-touch costs.
-        await _enforce_leg("json", False, False, n_stages, 2)
+        await _enforce_leg("json", True, False, n_stages, 2)
         baseline, optimized = 0.0, 0.0
         for _ in range(trials):
             baseline = max(
                 baseline,
-                await _enforce_leg("json", False, False, n_stages, n_cycles),
+                await _enforce_leg("json", True, False, n_stages, n_cycles),
             )
             optimized = max(
                 optimized,
-                await _enforce_leg("binary", True, True, n_stages, n_cycles),
+                await _enforce_leg("binary", False, True, n_stages, n_cycles),
             )
         return baseline, optimized
 
@@ -358,14 +375,12 @@ def bench_shard(quick: bool = False) -> Dict:
             n_aggregators=workers,
             n_cycles=n_cycles,
             codec="binary",
-            coalesce=True,
         )
         sharded = run_live_sharded(
             n_stages=n_stages,
             n_workers=workers,
             n_cycles=n_cycles,
             codec="binary",
-            coalesce=True,
         )
         single_s = single.stats().mean_ms / 1e3
         sharded_s = sharded.stats().mean_ms / 1e3

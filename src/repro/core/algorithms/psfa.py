@@ -37,6 +37,10 @@ from repro.core.algorithms.base import (
 __all__ = ["PSFA", "split_job_allocation", "weighted_waterfill"]
 
 _EPS = 1e-12
+#: Leftover below this fraction of capacity is float residue of the
+#: water-fill's sums (about 1e-10 at 1e6 IOPS), not unallocated budget;
+#: redistributing it over-granted demand-capped jobs by an ulp.
+_LEFTOVER_REL = 1e-9
 
 
 def weighted_waterfill(
@@ -89,8 +93,11 @@ def weighted_waterfill(
     levels = (capacity - demand_before) / np.maximum(weight_from, _EPS)
 
     feasible = levels <= r_sorted + _EPS
-    # Some k is feasible because total demand exceeds capacity.
-    k = int(np.argmax(feasible))
+    # Some k is feasible because total demand exceeds capacity — unless
+    # it exceeds it only by the float residue of the sums, so that even
+    # the last job's level lands an ulp above its ratio. Everything fits
+    # then: split at the last job, which grants every demand in full.
+    k = int(np.argmax(feasible)) if feasible.any() else n - 1
     level = levels[k]
 
     alloc_sorted = np.minimum(d_sorted, level * w_sorted)
@@ -219,7 +226,7 @@ class PSFA(ControlAlgorithm):
         demand_limited_act = grants >= d_act - _EPS
 
         leftover = capacity - float(grants.sum())
-        if self.redistribute_leftover and leftover > _EPS:
+        if self.redistribute_leftover and leftover > _LEFTOVER_REL * capacity:
             grants = grants + leftover * w_act / float(w_act.sum())
             leftover = 0.0
 

@@ -31,6 +31,8 @@ __all__ = [
 ]
 
 _EPS = 1e-12
+#: Leftover below this fraction of capacity is float residue (as in PSFA).
+_LEFTOVER_REL = 1e-9
 
 
 def waterfill_reference(
@@ -103,7 +105,7 @@ def psfa_reference(
     filled = waterfill_reference(excess, w_act, spare)
     grants = [g + f for g, f in zip(g_act, filled)]
     leftover = capacity - sum(grants)
-    if redistribute_leftover and leftover > _EPS:
+    if redistribute_leftover and leftover > _LEFTOVER_REL * capacity:
         total_w = sum(w_act)
         grants = [g + leftover * w / total_w for g, w in zip(grants, w_act)]
     for i, g in zip(active, grants):

@@ -46,18 +46,22 @@ from typing import Dict, List, Optional, Tuple
 from repro.live.protocol import (
     ProtocolError,
     choose_codec,
+    encode,
+    read_frame,
     read_message,
     write_message,
 )
-from repro.live.sessions import Session, SessionClosed, gather_phase
+from repro.live.sessions import (
+    PhaseBarrier, Session, SessionClosed, fan_out, flush_all, gather_phase,
+)
 from repro.obs.spans import NullSpanTracer
 
 __all__ = ["LiveAggregator"]
 
 
 class _StageSession(Session):
-    def __init__(self, stage_id: str, job_id: str, reader, writer, meter=None) -> None:
-        super().__init__(stage_id, reader, writer, meter=meter)
+    def __init__(self, stage_id: str, job_id: str, meter=None) -> None:
+        super().__init__(stage_id, meter=meter)
         self.job_id = job_id
         # Per-axis last-known demand: the upstream fallback for a dead
         # socket must keep the data/metadata split, not a summed scalar.
@@ -87,7 +91,6 @@ class LiveAggregator:
         port: int = 0,
         collect_timeout_s: Optional[float] = None,
         enforce_timeout_s: Optional[float] = None,
-        coalesce: bool = True,
         codecs: Tuple[str, ...] = ("binary2", "binary", "json"),
         span_tracer=None,
         usage_meter=None,
@@ -112,8 +115,6 @@ class LiveAggregator:
         self.enforce_timeout_s = (
             enforce_timeout_s if enforce_timeout_s is not None else collect_timeout_s
         )
-        #: One drain per session per phase instead of one per frame.
-        self.coalesce = coalesce
         #: Per-stage-session outbound bound (bytes); None = unbounded.
         #: Same contract as the controllers: enable with phase deadlines.
         self.session_outbox_bytes = session_outbox_bytes
@@ -181,8 +182,8 @@ class LiveAggregator:
         if up is not None and up.transport is not None:
             up.transport.abort()
         for session in list(self.sessions.values()):
-            if session.writer.transport is not None:
-                session.writer.transport.abort()
+            if session.transport is not None:
+                session.transport.abort()
         if self._server is not None:
             self._server.close()
 
@@ -218,7 +219,7 @@ class LiveAggregator:
                 )
                 self.rehomes_sent += 1
             except SessionClosed:
-                await self._evict(session)
+                self._evict(session)
 
     # -- lifecycle ----------------------------------------------------------
     async def start(self) -> None:
@@ -258,21 +259,21 @@ class LiveAggregator:
             except (ConnectionError, OSError):
                 pass
             return
-        session = _StageSession(stage_id, job_id, reader, writer, meter=self.meter)
+        session = _StageSession(stage_id, job_id, meter=self.meter)
         session.outbox.max_bytes = self.session_outbox_bytes
         # Grant the newest codec both sides speak (mixed-version safe):
         # the stage's offer intersected with what *we* were built with.
         session.codec = choose_codec(
             hello.get("codecs"), supported=self.offered_codecs
         )
+        session.attach(reader, writer)
         self.sessions[session.stage_id] = session
         # Late joiners get the current alternate list with the ack, so a
         # re-homed orphan is immediately armed against *this* home dying.
         ack: dict = {"kind": "registered", "codec": session.codec}
         if self.peer_addresses:
             ack["alternates"] = self._alternates_for(len(self.sessions) - 1)
-        await write_message(writer, ack)
-        session.start()
+        session.transport.write(encode(ack))
         if len(self.sessions) >= self.expected_stages:
             self._all_registered.set()
         # A registration after the upstream link is up is an adoption
@@ -292,14 +293,14 @@ class LiveAggregator:
             except (ConnectionError, OSError):
                 pass  # upstream is dying; the next topology pass catches up
 
-    async def _evict(self, session: _StageSession) -> None:
+    def _evict(self, session: _StageSession) -> None:
         if self.sessions.get(session.stage_id) is session:
             del self.sessions[session.stage_id]
             self.evictions += 1
             self._outbox_shed_evicted += session.outbox.frames_shed
             if self.metrics is not None:
                 self._m_evictions.inc()
-        await session.close()
+        session.close()
 
     @property
     def outbox_frames_shed(self) -> int:
@@ -337,8 +338,6 @@ class LiveAggregator:
             self.up_codec = (
                 granted if granted in self.offered_codecs else "json"
             )
-            from repro.live.protocol import read_frame
-
             while not self._stop.is_set():
                 try:
                     message, nbytes = await read_frame(reader)
@@ -362,7 +361,7 @@ class LiveAggregator:
                 # Upstream lost (global death, our kill): *release* the
                 # stages — close their sockets without a shutdown frame so
                 # their reconnect loops re-home them to live aggregators.
-                await self._release_stages()
+                self._release_stages()
             writer.close()
             try:
                 await writer.wait_closed()
@@ -394,39 +393,18 @@ class LiveAggregator:
         if self.metrics is not None:
             self._m_cycles.inc()
         sessions = [self.sessions[s] for s in sorted(self.sessions)]
-        polled: List[_StageSession] = []
-        missing_ids = set()
-        with self._cpu():
-            for s in sessions:
-                try:
-                    s.feed({"kind": "collect_req", "epoch": epoch})
-                    if not self.coalesce:
-                        await s.flush()
-                    polled.append(s)
-                except SessionClosed:
-                    await self._evict(s)
-                    missing_ids.add(s.stage_id)
-            if self.coalesce:
-                alive: List[_StageSession] = []
-                for s in polled:
-                    try:
-                        await s.flush()
-                        alive.append(s)
-                    except SessionClosed:
-                        await self._evict(s)
-                        missing_ids.add(s.stage_id)
-                polled = alive
 
-        async def read_reply(s: _StageSession) -> None:
-            m = await s.expect("metrics_reply", epoch)
+        def on_reply(s: _StageSession, m: dict) -> None:
             s.latest_data_demand = float(m["data_iops"])
             s.latest_metadata_demand = float(m["metadata_iops"])
 
-        missing, _ = await gather_phase(polled, read_reply, self.collect_timeout_s)
+        barrier = PhaseBarrier("metrics_reply", epoch, on_reply)
+        with self._cpu():
+            await fan_out(barrier, sessions, {"kind": "collect_req", "epoch": epoch})
+        missing, _ = await gather_phase(barrier, self.collect_timeout_s)
         for s in missing:
-            missing_ids.add(s.stage_id)
             if not s.connected:
-                await self._evict(s)
+                self._evict(s)
         # Report the full partition upstream — absent stages ride at their
         # last-known demand and are flagged so the global controller's
         # degraded-cycle accounting sees through the aggregation.
@@ -446,19 +424,20 @@ class LiveAggregator:
                     "metadata_demands": [
                         s.latest_metadata_demand for s in sessions
                     ],
-                    "n_missing": len(missing_ids),
+                    "n_missing": len(missing),
                 },
             )
         if self.tracer.enabled:
             self.tracer.emit(
                 "collect", started, self.tracer.now() - started,
-                parent="cycle", epoch=epoch, n_missing=len(missing_ids),
+                parent="cycle", epoch=epoch, n_missing=len(missing),
             )
 
     async def _distribute(self, message, up_writer) -> None:
         epoch = message["epoch"]
         rules = message["rules"]
         started = self.tracer.now()
+        barrier = PhaseBarrier("rule_ack", epoch)
         targets: List[_StageSession] = []
         with self._cpu():
             for rule in rules:
@@ -475,32 +454,18 @@ class LiveAggregator:
                     forwarded["metadata_iops_limit"] = rule[
                         "metadata_iops_limit"
                     ]
-                try:
+                barrier.add(session)
+                if session.connected:
                     # Sheddable under outbox pressure: superseded by the
                     # next epoch's rule; the missing ack resolves through
                     # the enforce deadline.
                     session.feed(forwarded, sheddable=True)
-                    if not self.coalesce:
-                        await session.flush()
                     targets.append(session)
-                except SessionClosed:
-                    await self._evict(session)
-            if self.coalesce:
-                alive: List[_StageSession] = []
-                for session in targets:
-                    try:
-                        await session.flush()
-                        alive.append(session)
-                    except SessionClosed:
-                        await self._evict(session)
-                targets = alive
-
-        missing, _ = await gather_phase(
-            targets, lambda s: s.expect("rule_ack", epoch), self.enforce_timeout_s
-        )
+            await flush_all(targets)
+        missing, _ = await gather_phase(barrier, self.enforce_timeout_s)
         for s in missing:
             if not s.connected:
-                await self._evict(s)
+                self._evict(s)
         with self._cpu():
             await self._send_up(
                 up_writer,
@@ -522,11 +487,11 @@ class LiveAggregator:
                 await session.send({"kind": "shutdown"})
             except SessionClosed:
                 pass
-            await session.close()
+            session.close()
         self.sessions.clear()
 
-    async def _release_stages(self) -> None:
+    def _release_stages(self) -> None:
         """Drop stage sessions *without* telling the stages to stop."""
         for session in list(self.sessions.values()):
-            await session.close()
+            session.close()
         self.sessions.clear()

@@ -49,7 +49,9 @@ from repro.live.protocol import (
     read_message,
     write_message,
 )
-from repro.live.sessions import Session, SessionClosed, gather_phase
+from repro.live.sessions import (
+    PhaseBarrier, Session, SessionClosed, fan_out, flush_all, gather_phase,
+)
 from repro.obs.spans import NullSpanTracer
 
 __all__ = ["LiveGlobalController", "LiveHierGlobalController"]
@@ -58,8 +60,8 @@ __all__ = ["LiveGlobalController", "LiveHierGlobalController"]
 class _StageSession(Session):
     """Server-side state for one connected stage."""
 
-    def __init__(self, stage_id: str, job_id: str, reader, writer, meter=None) -> None:
-        super().__init__(stage_id, reader, writer, meter=meter)
+    def __init__(self, stage_id: str, job_id: str, meter=None) -> None:
+        super().__init__(stage_id, meter=meter)
         self.job_id = job_id
         # Last-known demand is tracked per axis: collapsing data +
         # metadata into one scalar loses the split a dead socket's
@@ -126,10 +128,6 @@ class _LiveControllerBase:
         self.sessions: Dict[str, Session] = {}
         self.cycles: List[ControlCycle] = []
         self.epoch = 0
-        #: Buffer a phase's frames per session and drain once (the
-        #: writev-style fast path); ``False`` restores the seed's
-        #: frame-per-drain writes, which the bench uses as its baseline.
-        self.coalesce = True
         #: Sessions evicted because their socket died mid-cycle.
         self.evictions = 0
         #: Registrations rejected (duplicate id, malformed hello).
@@ -272,6 +270,14 @@ class _LiveControllerBase:
             return True
         return self.enforce_changed_only
 
+    async def run_cycles(self, n_cycles: int) -> List[ControlCycle]:
+        """Run ``n_cycles`` back-to-back cycles; returns their records."""
+        if n_cycles < 1:
+            raise ValueError(f"n_cycles must be >= 1: {n_cycles}")
+        for _ in range(n_cycles):
+            await self._cycle()
+        return self.cycles
+
     # -- lifecycle ----------------------------------------------------------
     async def start(self) -> None:
         """Start listening; ``self.port`` holds the bound port."""
@@ -287,7 +293,7 @@ class _LiveControllerBase:
                 await session.send({"kind": "shutdown"})
             except SessionClosed:
                 pass
-            await session.close()
+            session.close()
         self.sessions.clear()
         if self._server is not None:
             self._server.close()
@@ -301,8 +307,8 @@ class _LiveControllerBase:
         rotate to alternate addresses (e.g. the hot standby).
         """
         for session in list(self.sessions.values()):
-            if session.writer.transport is not None:
-                session.writer.transport.abort()
+            if session.transport is not None:
+                session.transport.abort()
         if self._server is not None:
             self._server.close()
 
@@ -328,21 +334,17 @@ class _LiveControllerBase:
         if error is not None:
             await self._reject(writer, error)
             return
-        session = self._make_session(hello, reader, writer)
+        session = self._make_session(hello)
         # Codec negotiation: binary when the child advertises it, JSON for
         # older children. The ack itself is always JSON-decodable.
         session.codec = choose_codec(hello.get("codecs"))
+        # From here on the session's framer owns the connection.
+        session.attach(reader, writer)
+        session.transport.write(encode({"kind": "registered", "codec": session.codec}))
         self.sessions[session.peer_id] = session
-        await write_message(
-            writer, {"kind": "registered", "codec": session.codec}
-        )
-        session.start()
         if len(self.sessions) >= self._expected:
             self._all_registered.set()
         await self._after_register(session)
-        # The controller drives all further I/O through the session's
-        # frame pump; the handler returns and the streams stay owned by
-        # the session.
 
     async def _heartbeat_loop(self, first: dict, reader, writer) -> None:
         """Consume a primary's heartbeat stream (this side is standby)."""
@@ -383,7 +385,7 @@ class _LiveControllerBase:
         except (ConnectionError, OSError):
             pass
 
-    async def _evict(self, session: Session) -> None:
+    def _evict(self, session: Session) -> None:
         """Drop a dead session so its id can register again."""
         if self.sessions.get(session.peer_id) is session:
             del self.sessions[session.peer_id]
@@ -393,7 +395,7 @@ class _LiveControllerBase:
             if self.metrics is not None:
                 self._m_evictions.inc()
             self._on_evicted(session)
-        await session.close()
+        session.close()
 
     # Subclass hooks ---------------------------------------------------------
     def _on_evicted(self, session: Session) -> None:
@@ -402,7 +404,7 @@ class _LiveControllerBase:
     def _validate_hello(self, hello: dict) -> Optional[str]:
         raise NotImplementedError
 
-    def _make_session(self, hello: dict, reader, writer) -> Session:
+    def _make_session(self, hello: dict) -> Session:
         raise NotImplementedError
 
     @property
@@ -447,7 +449,6 @@ class LiveGlobalController(_LiveControllerBase):
         evicted_grace_cycles: int = 0,
         enforce_changed_only: bool = False,
         rule_change_tolerance: float = 0.0,
-        coalesce: bool = True,
         initial_epoch: int = 0,
         span_tracer=None,
         usage_meter=None,
@@ -504,7 +505,6 @@ class LiveGlobalController(_LiveControllerBase):
         self.enforce_changed_only = enforce_changed_only
         self.rule_change_tolerance = rule_change_tolerance
         self.rules_suppressed = 0
-        self.coalesce = coalesce
         #: Encoded-rule cache: stage id -> (rule-epoch, data limit,
         #: metadata limit, wire frame). The rule-epoch is the epoch at
         #: which the stage's limits last changed; the cached frame is what
@@ -577,10 +577,8 @@ class LiveGlobalController(_LiveControllerBase):
             return f"stage_id already registered: {stage_id}"
         return None
 
-    def _make_session(self, hello: dict, reader, writer) -> _StageSession:
-        session = _StageSession(
-            hello["stage_id"], hello["job_id"], reader, writer, meter=self.meter
-        )
+    def _make_session(self, hello: dict) -> _StageSession:
+        session = _StageSession(hello["stage_id"], hello["job_id"], meter=self.meter)
         session.outbox.max_bytes = self.session_outbox_bytes
         return session
 
@@ -589,14 +587,6 @@ class LiveGlobalController(_LiveControllerBase):
         return self.expected_stages
 
     # -- control loop -----------------------------------------------------------
-    async def run_cycles(self, n_cycles: int) -> List[ControlCycle]:
-        """Run ``n_cycles`` back-to-back cycles; returns their records."""
-        if n_cycles < 1:
-            raise ValueError(f"n_cycles must be >= 1: {n_cycles}")
-        for _ in range(n_cycles):
-            await self._cycle()
-        return self.cycles
-
     def _columnar_snapshot(self, sessions: List["_StageSession"]):
         """Cycle-start row/weight snapshot, or ``None`` to run scalar.
 
@@ -634,39 +624,12 @@ class LiveGlobalController(_LiveControllerBase):
         snapshot = self._columnar_snapshot(sessions)
         started = time.perf_counter()
         missing_ids: Set[str] = set()
-        timed_out = False
         tracer = self.tracer
-        sent_at: Dict[str, float] = {}
 
         # ---- collect (partial on deadline, evict dead sockets) ----
-        polled: List[_StageSession] = []
-        with self._cpu():
-            for s in sessions:
-                try:
-                    s.feed({"kind": "collect_req", "epoch": epoch})
-                    if not self.coalesce:
-                        await s.flush()
-                    polled.append(s)
-                    if tracer.enabled:
-                        sent_at[s.stage_id] = tracer.now()
-                except SessionClosed:
-                    await self._evict(s)
-                    missing_ids.add(s.stage_id)
-            if self.coalesce:
-                alive: List[_StageSession] = []
-                for s in polled:
-                    try:
-                        await s.flush()
-                        alive.append(s)
-                    except SessionClosed:
-                        await self._evict(s)
-                        missing_ids.add(s.stage_id)
-                polled = alive
-
         columns = self.columns
 
-        async def read_reply(s: _StageSession) -> None:
-            message = await s.expect("metrics_reply", epoch)
+        def on_metrics(s: _StageSession, message: dict) -> None:
             data = float(message["data_iops"])
             meta = float(message["metadata_iops"])
             s.latest_data_demand = data
@@ -675,20 +638,22 @@ class LiveGlobalController(_LiveControllerBase):
                 columns.data[s.column_row] = data
                 columns.meta[s.column_row] = meta
             if tracer.enabled:
-                t0 = sent_at.get(s.stage_id, started)
                 tracer.for_track(s.stage_id).emit(
-                    "collect_rpc", t0, tracer.now() - t0,
+                    "collect_rpc", collect_sent, tracer.now() - collect_sent,
                     parent="collect", epoch=epoch,
                 )
 
-        missing, phase_timed_out = await gather_phase(
-            polled, read_reply, self._effective_collect_timeout()
+        barrier = PhaseBarrier("metrics_reply", epoch, on_metrics)
+        collect_sent = tracer.now()
+        with self._cpu():
+            await fan_out(barrier, sessions, {"kind": "collect_req", "epoch": epoch})
+        missing, timed_out = await gather_phase(
+            barrier, self._effective_collect_timeout()
         )
-        timed_out |= phase_timed_out
         for s in missing:
             missing_ids.add(s.stage_id)
             if not s.connected:
-                await self._evict(s)
+                self._evict(s)
         t_collect = time.perf_counter() - started
 
         # ---- compute (the real PSFA; absent stages at last-known demand) ----
@@ -788,6 +753,15 @@ class LiveGlobalController(_LiveControllerBase):
 
         # ---- enforce ----
         enforce_started = time.perf_counter()
+
+        def on_ack(s: _StageSession, message: dict) -> None:
+            tracer.for_track(s.stage_id).emit(
+                "enforce_rpc", enforce_sent, tracer.now() - enforce_sent,
+                parent="enforce", epoch=epoch,
+            )
+
+        barrier = PhaseBarrier("rule_ack", epoch, on_ack if tracer.enabled else None)
+        enforce_sent = tracer.now()
         ruled: List[_StageSession] = []
         with self._cpu():
             changed_only = self._effective_changed_only()
@@ -834,50 +808,20 @@ class LiveGlobalController(_LiveControllerBase):
                     # this key and defaults the axis to unlimited.
                     message["metadata_iops_limit"] = meta_limit
                 frame = encode(message, s.codec)
-                try:
-                    # Rules are sheddable under outbox pressure: the next
-                    # epoch supersedes them, and a shed rule surfaces as a
-                    # missing ack the degraded path already absorbs.
-                    s.feed_frame(frame, sheddable=True)
-                    if not self.coalesce:
-                        await s.flush()
-                    self._rule_frames[s.stage_id] = (
-                        epoch, limit, meta_limit, frame
-                    )
-                    ruled.append(s)
-                    if tracer.enabled:
-                        sent_at[s.stage_id] = tracer.now()
-                except SessionClosed:
-                    await self._evict(s)
-                    missing_ids.add(s.stage_id)
-            if self.coalesce:
-                alive = []
-                for s in ruled:
-                    try:
-                        await s.flush()
-                        alive.append(s)
-                    except SessionClosed:
-                        await self._evict(s)
-                        missing_ids.add(s.stage_id)
-                ruled = alive
-
-        async def read_ack(s: _StageSession) -> None:
-            await s.expect("rule_ack", epoch)
-            if tracer.enabled:
-                t0 = sent_at.get(s.stage_id, enforce_started)
-                tracer.for_track(s.stage_id).emit(
-                    "enforce_rpc", t0, tracer.now() - t0,
-                    parent="enforce", epoch=epoch,
-                )
-
-        missing, phase_timed_out = await gather_phase(
-            ruled, read_ack, self.enforce_timeout_s
-        )
+                barrier.add(s)
+                # Rules are sheddable under outbox pressure: the next epoch
+                # supersedes them, and a shed rule surfaces as a missing
+                # ack the degraded path already absorbs.
+                s.feed_frame(frame, sheddable=True)
+                self._rule_frames[s.stage_id] = (epoch, limit, meta_limit, frame)
+                ruled.append(s)
+            await flush_all(ruled)
+        missing, phase_timed_out = await gather_phase(barrier, self.enforce_timeout_s)
         timed_out |= phase_timed_out
         for s in missing:
             missing_ids.add(s.stage_id)
             if not s.connected:
-                await self._evict(s)
+                self._evict(s)
         t_enforce = time.perf_counter() - enforce_started
 
         self._record_cycle(
@@ -898,10 +842,8 @@ class LiveGlobalController(_LiveControllerBase):
 class _AggregatorSession(Session):
     """Server-side state for one registered aggregator."""
 
-    def __init__(
-        self, aggregator_id, stage_ids, job_ids, reader, writer, meter=None
-    ) -> None:
-        super().__init__(aggregator_id, reader, writer, meter=meter)
+    def __init__(self, aggregator_id, stage_ids, job_ids, meter=None) -> None:
+        super().__init__(aggregator_id, meter=meter)
         self.stage_ids = list(stage_ids)
         self.job_ids = list(job_ids)
         #: Advertised stage-facing listen address (None = not advertised;
@@ -962,7 +904,6 @@ class LiveHierGlobalController(_LiveControllerBase):
         dead_after_missed: Optional[int] = None,
         enforce_changed_only: bool = False,
         rule_change_tolerance: float = 0.0,
-        coalesce: bool = True,
         initial_epoch: int = 0,
         span_tracer=None,
         usage_meter=None,
@@ -1018,7 +959,6 @@ class LiveHierGlobalController(_LiveControllerBase):
         self.enforce_changed_only = enforce_changed_only
         self.rule_change_tolerance = rule_change_tolerance
         self.rules_suppressed = 0
-        self.coalesce = coalesce
         #: Last shipped limits per stage id:
         #: (rule-epoch, data limit, metadata limit | None).
         self._last_rule: Dict[str, tuple] = {}
@@ -1076,13 +1016,11 @@ class LiveHierGlobalController(_LiveControllerBase):
             return f"aggregator_id already registered: {aggregator_id}"
         return None
 
-    def _make_session(self, hello: dict, reader, writer) -> _AggregatorSession:
+    def _make_session(self, hello: dict) -> _AggregatorSession:
         session = _AggregatorSession(
             hello["aggregator_id"],
             hello["stage_ids"],
             hello["job_ids"],
-            reader,
-            writer,
             meter=self.meter,
         )
         session.outbox.max_bytes = self.session_outbox_bytes
@@ -1193,20 +1131,12 @@ class LiveHierGlobalController(_LiveControllerBase):
                 # Its death is handled by the cycle path; don't recurse.
                 pass
 
-    async def _declare_dead(self, session: _AggregatorSession) -> None:
+    def _declare_dead(self, session: _AggregatorSession) -> None:
         """Health verdict: too many missed epochs — cut the socket loose."""
         self.aggregators_declared_dead += 1
-        if session.writer.transport is not None:
-            session.writer.transport.abort()
-        await self._evict(session)
-
-    async def run_cycles(self, n_cycles: int) -> List[ControlCycle]:
-        """Run ``n_cycles`` back-to-back cycles; returns their records."""
-        if n_cycles < 1:
-            raise ValueError(f"n_cycles must be >= 1: {n_cycles}")
-        for _ in range(n_cycles):
-            await self._cycle()
-        return self.cycles
+        if session.transport is not None:
+            session.transport.abort()
+        self._evict(session)
 
     async def _cycle(self) -> None:
         # Membership first: adoptions announced since the last cycle move
@@ -1222,40 +1152,12 @@ class LiveHierGlobalController(_LiveControllerBase):
         ]
         started = time.perf_counter()
         n_missing = 0
-        timed_out = False
         tracer = self.tracer
-        sent_at: Dict[str, float] = {}
 
         # ---- collect (via aggregators) ----
-        polled: List[_AggregatorSession] = []
-        absent: List[_AggregatorSession] = []
-        with self._cpu():
-            for s in sessions:
-                try:
-                    s.feed({"kind": "agg_collect_req", "epoch": epoch})
-                    if not self.coalesce:
-                        await s.flush()
-                    polled.append(s)
-                    if tracer.enabled:
-                        sent_at[s.aggregator_id] = tracer.now()
-                except SessionClosed:
-                    await self._evict(s)
-                    absent.append(s)
-            if self.coalesce:
-                alive: List[_AggregatorSession] = []
-                for s in polled:
-                    try:
-                        await s.flush()
-                        alive.append(s)
-                    except SessionClosed:
-                        await self._evict(s)
-                        absent.append(s)
-                polled = alive
-
         columns = self.columns
 
-        async def read_agg_reply(s: _AggregatorSession) -> None:
-            m = await s.expect("agg_metrics_reply", epoch)
+        def on_agg_reply(s: _AggregatorSession, m: dict) -> None:
             data = m.get("data_demands")
             meta = m.get("metadata_demands")
             if columns is not None:
@@ -1290,20 +1192,22 @@ class LiveHierGlobalController(_LiveControllerBase):
                 0, len(s.stage_ids) - len(m["stage_ids"])
             )
             if tracer.enabled:
-                t0 = sent_at.get(s.aggregator_id, started)
                 tracer.for_track(s.aggregator_id).emit(
-                    "collect_rpc", t0, tracer.now() - t0,
+                    "collect_rpc", collect_sent, tracer.now() - collect_sent,
                     parent="collect", epoch=epoch,
                 )
 
-        missing, phase_timed_out = await gather_phase(
-            polled, read_agg_reply, self._effective_collect_timeout()
+        barrier = PhaseBarrier("agg_metrics_reply", epoch, on_agg_reply)
+        collect_sent = tracer.now()
+        with self._cpu():
+            request = {"kind": "agg_collect_req", "epoch": epoch}
+            await fan_out(barrier, sessions, request)
+        absent, timed_out = await gather_phase(
+            barrier, self._effective_collect_timeout()
         )
-        timed_out |= phase_timed_out
-        for s in missing:
-            absent.append(s)
+        for s in absent:
             if not s.connected:
-                await self._evict(s)
+                self._evict(s)
         # Health: consecutive silent epochs mark a connected-but-dead
         # aggregator (stall, partition) for declaration.
         for s in sessions:
@@ -1317,7 +1221,7 @@ class LiveHierGlobalController(_LiveControllerBase):
                     s.missed_epochs >= self.dead_after_missed
                     and self.sessions.get(s.aggregator_id) is s
                 ):
-                    await self._declare_dead(s)
+                    self._declare_dead(s)
         # Stages without fresh metrics: the absent aggregators' partitions
         # (dedup'd against orphans below — an aggregator evicted this very
         # cycle already turned its stages into orphans) plus counts the
@@ -1431,6 +1335,17 @@ class LiveHierGlobalController(_LiveControllerBase):
 
         # ---- enforce (rule batches) ----
         enforce_started = time.perf_counter()
+
+        def on_batch_ack(s: _AggregatorSession, message: dict) -> None:
+            tracer.for_track(s.aggregator_id).emit(
+                "enforce_rpc", enforce_sent, tracer.now() - enforce_sent,
+                parent="enforce", epoch=epoch,
+            )
+
+        barrier = PhaseBarrier(
+            "batch_ack", epoch, on_batch_ack if tracer.enabled else None
+        )
+        enforce_sent = tracer.now()
         batched: List[_AggregatorSession] = []
         with self._cpu():
             changed_only = self._effective_changed_only()
@@ -1477,55 +1392,29 @@ class LiveHierGlobalController(_LiveControllerBase):
                     if meta_limit is not None:
                         rule["metadata_iops_limit"] = meta_limit
                     rules.append(rule)
-                try:
-                    # Sheddable like flat-plane rules: the next epoch's
-                    # batch supersedes this one, and the missing batch_ack
-                    # resolves through the enforce deadline.
-                    s.feed(
-                        {"kind": "rule_batch", "epoch": epoch, "rules": rules},
-                        sheddable=True,
-                    )
-                    if not self.coalesce:
-                        await s.flush()
-                    # Commit the diff record only for rules that actually
-                    # went on the wire (an evicted batch must re-ship).
-                    for rule in rules:
-                        last_rule[rule["stage_id"]] = (
-                            epoch,
-                            rule["data_iops_limit"],
-                            rule.get("metadata_iops_limit"),
-                        )
-                    batched.append(s)
-                    if tracer.enabled:
-                        sent_at[s.aggregator_id] = tracer.now()
-                except SessionClosed:
-                    await self._evict(s)
-            if self.coalesce:
-                alive = []
-                for s in batched:
-                    try:
-                        await s.flush()
-                        alive.append(s)
-                    except SessionClosed:
-                        await self._evict(s)
-                batched = alive
-
-        async def read_batch_ack(s: _AggregatorSession) -> None:
-            await s.expect("batch_ack", epoch)
-            if tracer.enabled:
-                t0 = sent_at.get(s.aggregator_id, enforce_started)
-                tracer.for_track(s.aggregator_id).emit(
-                    "enforce_rpc", t0, tracer.now() - t0,
-                    parent="enforce", epoch=epoch,
+                barrier.add(s)
+                # Sheddable like flat-plane rules: the next epoch's batch
+                # supersedes this one, and the missing batch_ack resolves
+                # through the enforce deadline.
+                s.feed(
+                    {"kind": "rule_batch", "epoch": epoch, "rules": rules},
+                    sheddable=True,
                 )
-
-        missing, phase_timed_out = await gather_phase(
-            batched, read_batch_ack, self.enforce_timeout_s
-        )
+                # The diff record is dropped again if the batch dies with
+                # its socket (eviction forgets the partition's rules).
+                for rule in rules:
+                    last_rule[rule["stage_id"]] = (
+                        epoch,
+                        rule["data_iops_limit"],
+                        rule.get("metadata_iops_limit"),
+                    )
+                batched.append(s)
+            await flush_all(batched)
+        missing, phase_timed_out = await gather_phase(barrier, self.enforce_timeout_s)
         timed_out |= phase_timed_out
         for s in missing:
             if not s.connected:
-                await self._evict(s)
+                self._evict(s)
         t_enforce = time.perf_counter() - enforce_started
 
         self._record_cycle(

@@ -32,6 +32,7 @@ from typing import Any, Dict, Iterable, Optional, Tuple
 
 from repro.live.codec import (
     BINARY_MAGIC,
+    Buffer,
     decode_binary,
     encode_binary,
     encode_binary_into,
@@ -41,6 +42,7 @@ __all__ = [
     "CODEC_PREFERENCE",
     "ProtocolError",
     "choose_codec",
+    "decode_body",
     "encode",
     "encode_into",
     "read_frame",
@@ -126,7 +128,8 @@ def encode_into(
     return _HEADER.size + length
 
 
-def decode_body(body: bytes) -> Dict[str, Any]:
+def decode_body(body: Buffer) -> Dict[str, Any]:
+    """Decode one frame body (any bytes-like, e.g. a receive-buffer view)."""
     if body and body[0] == BINARY_MAGIC:
         try:
             # memoryview: string fields decode straight from the frame
@@ -135,7 +138,7 @@ def decode_body(body: bytes) -> Dict[str, Any]:
         except ValueError as exc:
             raise ProtocolError(f"undecodable binary frame: {exc}") from exc
     try:
-        message = json.loads(body.decode("utf-8"))
+        message = json.loads(str(body, "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolError(f"undecodable frame: {exc}") from exc
     if not isinstance(message, dict) or "kind" not in message:

@@ -205,3 +205,39 @@ class TestPSFAProperties:
             g[idx] = 0.1 * cap
             res = PSFA().allocate(d, w, cap, guarantees=g)
             assert res.allocations[idx] >= g[idx] - 1e-6
+
+
+def saturated_demand_weight_capacity():
+    """Total demand at or above capacity, at up to 1e6-IOPS scale.
+
+    Yields ``(demands, weights, fraction)``; capacity is ``fraction`` of
+    the total demand. Demands are idle or at least one IOPS.
+    """
+    demand = st.one_of(st.just(0.0), st.floats(1.0, 1e6))
+    return st.integers(min_value=1, max_value=256).flatmap(
+        lambda n: st.tuples(
+            arrays(np.float64, n, elements=demand),
+            arrays(np.float64, n, elements=st.floats(0.1, 16.0)),
+            st.floats(1e-3, 1.0),
+        )
+    ).filter(lambda dwf: dwf[0].sum() * dwf[2] >= 1.0)
+
+
+class TestSaturatedNeverOverGrants:
+    """Regression: PSFA redistributed the float residue of its own sums
+    (about 1e-10 at 1e6 IOPS) as "leftover", granting 645.0000000000001
+    to a job demanding 645.0. A saturated plane has no leftover."""
+
+    @given(saturated_demand_weight_capacity())
+    @settings(max_examples=300, deadline=None)
+    def test_alloc_within_demand_exactly(self, dwf):
+        from repro.core.algorithms.reference import psfa_reference
+
+        d, w, fraction = dwf
+        cap = float(d.sum()) * fraction
+        for alloc in (
+            PSFA().allocate(d, w, cap).allocations,
+            np.array(psfa_reference(d, w, cap)),
+        ):
+            assert np.all(alloc <= d)
+            assert alloc.sum() <= cap * (1 + 1e-12)
